@@ -238,17 +238,20 @@ let read_file file =
   close_in ic;
   s
 
-(* Stage name -> seconds from a --json record (tolerates records written
-   before the minor/major-words fields existed). *)
+(* The baseline's [cores]/[domains] stamp and its stage name -> seconds
+   map from a --json record (tolerates records written before the
+   minor/major-words fields existed; a missing stamp reads as [None]). *)
 let load_baseline file =
   match J.parse (read_file file) with
   | Error msg -> Error msg
   | Ok doc -> (
+      let stamp key = Option.bind (J.member key doc) J.to_int in
       match Option.bind (J.member "stages" doc) J.to_list with
       | None -> Error "no stages array"
       | Some stages ->
           Ok
-            (List.filter_map
+            ( (stamp "cores", stamp "domains"),
+              List.filter_map
                (fun st ->
                  match
                    ( Option.bind (J.member "name" st) J.to_string,
@@ -256,7 +259,7 @@ let load_baseline file =
                  with
                  | Some name, Some seconds -> Some (name, seconds)
                  | _ -> None)
-               stages))
+                stages ))
 
 (* Print the per-stage ratio table and return the number of stages that
    regressed past [threshold]. Stages where both sides sit below
@@ -268,7 +271,18 @@ let check_baseline ~baseline_file ~threshold ~min_seconds timings =
   | Error msg ->
       Printf.eprintf "cannot read baseline %s: %s\n" baseline_file msg;
       exit 2
-  | Ok base ->
+  | Ok ((base_cores, base_domains), base) ->
+      (* Ratios across machines or budgets compare unlike with unlike. *)
+      let cores = Domain.recommended_domain_count () in
+      let domains = Xt_prelude.Parallel.domain_budget () in
+      let differs stamp now = match stamp with Some b -> b <> now | None -> false in
+      if differs base_cores cores || differs base_domains domains then
+        Printf.printf
+          "!!! CORES/DOMAINS DIFFER: baseline cores=%s domains=%s, this run cores=%d domains=%d \
+           !!!\n"
+          (Option.fold ~none:"?" ~some:string_of_int base_cores)
+          (Option.fold ~none:"?" ~some:string_of_int base_domains)
+          cores domains;
       let t =
         Xt_prelude.Tab.create
           ~title:(Printf.sprintf "perf gate vs %s (threshold %.2fx)" baseline_file threshold)
@@ -310,9 +324,11 @@ let check_baseline ~baseline_file ~threshold ~min_seconds timings =
    baseline regeneration. *)
 let append_history file ~jobs_flag ~smoke ~wall timings =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
-  Printf.fprintf oc "{\"utc\":%.0f,\"bench\":\"tables\",\"smoke\":%b,\"jobs\":%d,\"domains\":%d"
+  Printf.fprintf oc
+    "{\"utc\":%.0f,\"bench\":\"tables\",\"smoke\":%b,\"jobs\":%d,\"domains\":%d,\"cores\":%d"
     (Unix.time ()) smoke jobs_flag
-    (Xt_prelude.Parallel.domain_budget ());
+    (Xt_prelude.Parallel.domain_budget ())
+    (Domain.recommended_domain_count ());
   Printf.fprintf oc ",\"wall_seconds\":%.6f,\"stages\":{" wall;
   List.iteri
     (fun i (tm : Tables.timing) ->

@@ -1037,45 +1037,34 @@ let d2_sim_throughput () =
     [ 5; 7; 9; 10 ];
   t
 
-let d3_parallel_scaling () =
+let d3_embed_scaling () =
   let t =
     Tab.create
-      ~title:
-        "D3  Parallel embedding construction over a domains axis (placements bit-identical at every budget)"
-      [ "r"; "n"; "jobs"; "gen s"; "embed s"; "knodes/s"; "dilation"; "fallbacks" ]
+      ~title:"D3  Embedding construction scaling over r (sequential sweeps; random-split generator on the pool)"
+      [ "r"; "n"; "gen s"; "embed s"; "knodes/s"; "dilation"; "fallbacks" ]
   in
-  let saved = Parallel.domain_budget () in
-  Fun.protect ~finally:(fun () -> Parallel.set_domain_budget saved) @@ fun () ->
   List.iter
-    (fun (r, jobs_list) ->
+    (fun r ->
       let n = Theorem1.optimal_size r in
-      (* the new divide-and-conquer arena generator: also parallel, also
-         budget-independent *)
-      Parallel.set_domain_budget (List.fold_left max 1 jobs_list);
       let t0 = Unix.gettimeofday () in
       let tree = Gen.random_split (Rng.make ~seed:(Hashtbl.hash ("d3", r))) n in
       let gen_s = Unix.gettimeofday () -. t0 in
-      List.iter
-        (fun jobs ->
-          Parallel.set_domain_budget jobs;
-          let t0 = Unix.gettimeofday () in
-          let res = Theorem1.embed ~par:(jobs > 1) tree in
-          let dt = Unix.gettimeofday () -. t0 in
-          let d = Embedding.dilation ~dist:Xtree.analytic_distance res.Theorem1.embedding in
-          let cell v = if !live_timings then Printf.sprintf "%.2f" v else "-" in
-          Tab.add_row t
-            [
-              string_of_int r;
-              string_of_int n;
-              string_of_int jobs;
-              cell gen_s;
-              cell dt;
-              (if !live_timings then Printf.sprintf "%.0f" (float_of_int n /. dt /. 1e3) else "-");
-              string_of_int d;
-              string_of_int res.Theorem1.fallbacks;
-            ])
-        jobs_list)
-    [ (10, [ 1; 2; 4 ]); (12, [ 1; 2; 4 ]); (14, [ 4 ]) ];
+      let t0 = Unix.gettimeofday () in
+      let res = Theorem1.embed tree in
+      let dt = Unix.gettimeofday () -. t0 in
+      let d = Embedding.dilation ~dist:Xtree.analytic_distance res.Theorem1.embedding in
+      let cell v = if !live_timings then Printf.sprintf "%.2f" v else "-" in
+      Tab.add_row t
+        [
+          string_of_int r;
+          string_of_int n;
+          cell gen_s;
+          cell dt;
+          (if !live_timings then Printf.sprintf "%.0f" (float_of_int n /. dt /. 1e3) else "-");
+          string_of_int d;
+          string_of_int res.Theorem1.fallbacks;
+        ])
+    [ 10; 12; 14 ];
   t
 
 let d4_serve_latency () =
@@ -1193,7 +1182,7 @@ let jobs =
     { name = "E19"; smoke = false; table = e19_weighted };
     { name = "D1"; smoke = false; table = d1_dedup };
     { name = "D2"; smoke = false; table = d2_sim_throughput };
-    { name = "D3"; smoke = false; table = d3_parallel_scaling };
+    { name = "D3"; smoke = false; table = d3_embed_scaling };
     { name = "D4"; smoke = false; table = d4_serve_latency };
   ]
 

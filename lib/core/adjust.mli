@@ -19,7 +19,6 @@ type plan = {
 val plan : State.t -> round:int -> a:int -> plan option
 (** The sites one [run] call would operate on, or [None] when the
     children are already balanced (weight difference at most 1) and
-    [run] would be a no-op. Used by the parallel sweep driver to decide
-    whether an ADJUST call is confined to [a]'s subtree. *)
+    [run] would be a no-op. *)
 
 val run : State.t -> round:int -> a:int -> unit

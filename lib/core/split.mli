@@ -25,5 +25,4 @@ val run :
     outside [alpha]'s subtree, read only to break orientation ties.
     Defaults to the live weights; {!Theorem1.embed} passes a pre-sweep
     snapshot of the whole level so every SPLIT of a sweep sees the same
-    outer weights regardless of execution order — the property that lets
-    sweeps run in parallel. *)
+    outer weights regardless of how much of the sweep has run. *)

@@ -1,11 +1,5 @@
-open Xt_obs
 open Xt_topology
 open Xt_bintree
-
-(* How often a forked view's weight update was cut off at its barrier
-   (the sweep driver repays these with one ancestor fixup per vertex).
-   Scheduling-dependent: only forked views have a barrier above root. *)
-let c_barrier_stops = Obs.counter "state.weight_barrier_stops"
 
 type boundary = { bnode : int; anchor : int }
 
@@ -21,10 +15,6 @@ type t = {
   weight : int array;
   attached : piece list array;
   ws : Separator.ws;
-  weight_barrier : int;
-  pid_stride : int;
-  strict : bool;
-  mutable on_touch : int -> unit;
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;
@@ -45,10 +35,6 @@ let create ~tree ~height ~capacity =
     weight = Array.make order 0;
     attached = Array.make order [];
     ws = Separator.make_ws tree;
-    weight_barrier = 0;
-    pid_stride = 1;
-    strict = false;
-    on_touch = ignore;
     placed = 0;
     next_pid = 0;
     fallbacks = 0;
@@ -57,17 +43,10 @@ let create ~tree ~height ~capacity =
 
 let weight_of st v = st.weight.(v)
 
-(* Weight updates stop at [weight_barrier]: a forked view confines them
-   to the swept subtree; the sweep driver restores the ancestor weights
-   in one additive fixup after the parallel batch. The default barrier 0
-   propagates all the way to the root. *)
 let add_weight st v delta =
   let rec up v =
     st.weight.(v) <- st.weight.(v) + delta;
-    match Xtree.parent v with
-    | Some p when p >= st.weight_barrier -> up p
-    | Some _ -> Obs.incr c_barrier_stops
-    | None -> ()
+    match Xtree.parent v with Some p -> up p | None -> ()
   in
   up v
 
@@ -97,7 +76,6 @@ let lay st ~max_level ~node ~vertex =
   let target =
     if st.occ.(vertex) < st.capacity && Xtree.level vertex <= max_level then vertex
     else begin
-      if st.strict then invalid_arg "State.lay: confined placement overflowed";
       st.fallbacks <- st.fallbacks + 1;
       let v = nearest_free st ~max_level ~from_:vertex in
       (* Tight capacities (e.g. 4) can exhaust every level the round is
@@ -112,19 +90,16 @@ let lay st ~max_level ~node ~vertex =
       v
     end
   in
-  st.on_touch target;
   st.place.(node) <- target;
   st.occ.(target) <- st.occ.(target) + 1;
   st.placed <- st.placed + 1;
   add_weight st target 1
 
 let attach st ~vertex piece =
-  st.on_touch vertex;
   st.attached.(vertex) <- piece :: st.attached.(vertex);
   add_weight st vertex piece.size
 
 let detach st ~vertex piece =
-  st.on_touch vertex;
   let before = List.length st.attached.(vertex) in
   st.attached.(vertex) <- List.filter (fun p -> p.pid <> piece.pid) st.attached.(vertex);
   if List.length st.attached.(vertex) <> before - 1 then
@@ -141,7 +116,7 @@ let make_piece st nodes =
   let bounds = !bounds in
   if List.length bounds > 2 then st.wide_pieces <- st.wide_pieces + 1;
   let pid = st.next_pid in
-  st.next_pid <- pid + st.pid_stride;
+  st.next_pid <- pid + 1;
   { pid; size = List.length nodes; nodes; bounds }
 
 let pieces_at st v = st.attached.(v)
@@ -169,36 +144,6 @@ let reattach_components st nodes ~default_vertex =
   end
 
 let total_capacity st = st.capacity * Xtree.order st.xt
-
-(* A fork is a view of the same embedding (the big arrays are shared) for
-   one task of a parallel sweep. It differs from the base state in what
-   it must not share: a private separator workspace, counters starting at
-   zero (folded back by [join]), an interleaved piece-id sequence (ids
-   from distinct forks never collide), a weight barrier confining weight
-   propagation to the swept subtree, and strict placement (a diverted
-   [lay] would escape the task's subtree, so it raises instead). *)
-let fork st ~ws ~pid_base ~pid_stride ~weight_barrier =
-  {
-    st with
-    ws;
-    weight_barrier;
-    pid_stride;
-    strict = true;
-    on_touch = ignore;
-    next_pid = pid_base;
-    placed = 0;
-    fallbacks = 0;
-    wide_pieces = 0;
-  }
-
-let join st forks =
-  List.iter
-    (fun f ->
-      st.placed <- st.placed + f.placed;
-      st.fallbacks <- st.fallbacks + f.fallbacks;
-      st.wide_pieces <- st.wide_pieces + f.wide_pieces;
-      if f.next_pid > st.next_pid then st.next_pid <- f.next_pid)
-    forks
 
 let check_invariants st =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -30,13 +30,6 @@ type t = {
   weight : int array;           (** cached X-subtree weights *)
   attached : piece list array;  (** pieces attached per vertex *)
   ws : Xt_bintree.Separator.ws;
-  weight_barrier : int;         (** weight updates stop below this vertex id (0 = root) *)
-  pid_stride : int;             (** piece-id increment; forks interleave ids *)
-  strict : bool;                (** forked view: a diverted [lay] raises *)
-  mutable on_touch : int -> unit;
-      (** called with every vertex an operation mutates (lay target,
-          attach/detach site); [ignore] by default — the parallel sweep
-          driver uses it to invalidate stale confinement analyses *)
   mutable placed : int;
   mutable next_pid : int;
   mutable fallbacks : int;      (** placements that had to divert to a free slot *)
@@ -73,26 +66,6 @@ val reattach_components : t -> int list -> default_vertex:int -> unit
     (or to [default_vertex] if it has none). *)
 
 val total_capacity : t -> int
-
-val fork :
-  t ->
-  ws:Xt_bintree.Separator.ws ->
-  pid_base:int ->
-  pid_stride:int ->
-  weight_barrier:int ->
-  t
-(** A task-private view of the same embedding for one task of a parallel
-    sweep: the placement/occupancy/weight/piece arrays are {e shared},
-    while the separator workspace, counters (zeroed), piece-id sequence
-    (interleaved: [pid_base], [pid_base + pid_stride], …) and weight
-    barrier are private. The view is {e strict}: a [lay] that would
-    divert to a fallback slot — and thereby escape the task's subtree —
-    raises instead of diverting. Only sound when tasks operate on
-    disjoint X-subtrees at or below [weight_barrier]'s level. *)
-
-val join : t -> t list -> unit
-(** Fold forked counters ([placed], [fallbacks], [wide_pieces], and the
-    piece-id high-water mark) back into the base state. *)
 
 val check_invariants : t -> (unit, string) result
 (** Expensive consistency check used by tests: occupancy, weights and

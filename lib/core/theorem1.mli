@@ -69,7 +69,6 @@ val embed :
   ?height:int ->
   ?record_trace:bool ->
   ?options:Options.t ->
-  ?par:bool ->
   ?cache:cache ->
   Xt_bintree.Bintree.t ->
   result
@@ -77,14 +76,6 @@ val embed :
     defaults to {!height_for}; raises [Invalid_argument] if an explicit
     height gives insufficient total capacity. [options] selects ablation
     variants (default: the full paper algorithm).
-
-    [par] enables parallel ADJUST/SPLIT sweeps over the
-    {!Xt_prelude.Parallel} domain pool; the default is on exactly when
-    the domain budget exceeds 1 and the caller is not already inside a
-    parallel region. The result is bit-identical to the sequential run —
-    only calls proven confined to disjoint subtrees execute concurrently,
-    on forked state views ({!State.fork}), and narrow levels skip the
-    machinery entirely.
 
     [cache] memoises the whole run by tree shape: a repeated shape (same
     capacity, height and options) reuses the stored placement and host

@@ -1,10 +1,12 @@
-(* Frozen sequential reference for Theorem 1 (ISSUE 6), in the Sim_ref
-   pattern: a self-contained copy of the pre-parallelisation pipeline —
-   hash-table separator, list-ordered workspace, purely sequential
-   ADJUST/SPLIT sweeps — kept verbatim so the reworked flat-workspace,
-   domain-parallel core in [Theorem1] can be tested for *bit-identical*
-   placements against it. Nothing here is reachable from the production
-   path; do not "fix" or optimise this module. *)
+(* Sequential reference for Theorem 1, in the Sim_ref pattern: a
+   self-contained copy of the original pipeline — hash-table separator,
+   list-ordered workspace, one sequential ADJUST/SPLIT sweep per level —
+   so the flat-workspace core in [Theorem1] can be tested for
+   *bit-identical* placements against it. Nothing here is reachable from
+   the production path. It has been patched once, together with
+   [Theorem1] (the pre-sweep [outer_snap] of the SPLIT tie-break); the
+   golden placement digests in [test_theorem1_ref.ml] catch such joint
+   edits, so change it only alongside [Theorem1] and never to optimise. *)
 
 open Xt_topology
 open Xt_bintree
@@ -318,7 +320,7 @@ module Sep = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* State (reference copy, sequential: no forks, no barrier, no hooks)  *)
+(* State (reference copy)                                              *)
 (* ------------------------------------------------------------------ *)
 
 module St = struct

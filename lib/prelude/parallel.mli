@@ -41,11 +41,6 @@ val set_domain_budget : int -> unit
     raising the budget later still finds real workers; budgets beyond
     the pool size only cap per-call parallelism. *)
 
-val in_parallel_region : unit -> bool
-(** True while the calling domain is executing a batch body. Nested
-    calls still run in parallel; this is a hint for callers that prefer
-    a sequential default inside an already-parallel region. *)
-
 val parallel_for : ?domains:int -> ?chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for n body] runs [body i] for [i = 0 .. n-1], distributing
     contiguous chunks of indices over the pool. [?domains] caps the

@@ -60,6 +60,10 @@ let make_state config =
   in
   (cache, loaded)
 
+(* The client went away mid-stream: a write or flush on its channel
+   failed (EPIPE/ECONNRESET surface as [Sys_error]). *)
+exception Hangup of string
+
 let run ?(config = default) ?state ic oc =
   let cache, loaded = match state with Some s -> s | None -> make_state config in
   let requests = ref 0 and batches = ref 0 and errors = ref 0 in
@@ -73,6 +77,7 @@ let run ?(config = default) ?state ic oc =
         since_flush := 0;
         Obs.add c_snapshot_saved n
   in
+  let send f = try f () with Sys_error msg -> raise (Hangup msg) in
   let process batch =
     incr batches;
     Obs.incr c_batches;
@@ -118,12 +123,14 @@ let run ?(config = default) ?state ic oc =
                       place = r.Theorem1.embedding.Xt_embedding.Embedding.place;
                     }
             in
-            Wire.write_frame oc resp;
-            incr requests;
-            Obs.incr c_requests;
+            send (fun () -> Wire.write_frame oc resp);
             if metered then Obs.observe h_request_ns (Obs.now_ns () - t0))
           parsed;
-        flush oc);
+        send (fun () -> flush oc);
+        (* Only a batch whose responses all left the buffer counts. *)
+        let answered = List.length parsed in
+        requests := !requests + answered;
+        Obs.add c_requests answered);
     if config.status then begin
       let s = Theorem1.cache_stats cache in
       Printf.eprintf
@@ -147,18 +154,20 @@ let run ?(config = default) ?state ic oc =
     end
   in
   (try
-     let eof = ref false in
-     while not !eof do
-       match Wire.read_frame ic with
-       | None -> eof := true
-       | Some "" -> flush_pending ()
-       | Some payload ->
-           pending := payload :: !pending;
-           incr npending;
-           if !npending >= config.max_batch then flush_pending ()
-     done
-   with Wire.Protocol msg -> Printf.eprintf "serve: protocol error: %s\n%!" msg);
-  flush_pending ();
+     (try
+        let eof = ref false in
+        while not !eof do
+          match Wire.read_frame ic with
+          | None -> eof := true
+          | Some "" -> flush_pending ()
+          | Some payload ->
+              pending := payload :: !pending;
+              incr npending;
+              if !npending >= config.max_batch then flush_pending ()
+        done
+      with Wire.Protocol msg -> Printf.eprintf "serve: protocol error: %s\n%!" msg);
+     flush_pending ()
+   with Hangup msg -> Printf.eprintf "serve: client hung up: %s\n%!" msg);
   flush_snapshot ();
   {
     requests = !requests;
@@ -170,6 +179,9 @@ let run ?(config = default) ?state ic oc =
   }
 
 let listen ?(config = default) ?max_conns ~path () =
+  (* A client that closes before reading its responses must cost only
+     its own connection: without this, the next write kills the server. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -192,8 +204,9 @@ let listen ?(config = default) ?max_conns ~path () =
         if config.status then
           Printf.eprintf "serve: connection %d closed after %d requests\n%!" !conns
             summary.requests;
-        (try flush oc with Sys_error _ -> ());
-        Unix.close fd
+        (* Closes [fd]; a hung-up client's unsent bytes are dropped here
+           rather than flushed into a reused descriptor at exit. *)
+        close_out_noerr oc
       done)
 
 let in_process ?(config = default) ?state client =

@@ -39,7 +39,9 @@ val default : config
     no status lines. *)
 
 type summary = {
-  requests : int;  (** Responses written. *)
+  requests : int;
+      (** Responses written and flushed; a batch cut short by a client
+          hang-up counts none. *)
   batches : int;
   errors : int;  (** Error responses (undecodable request payloads). *)
   loaded : int;  (** Snapshot entries restored at startup. *)
@@ -63,13 +65,17 @@ val run :
   summary
 (** Serve one request stream to EOF. [state] defaults to a fresh
     {!make_state}; pass it explicitly to keep the cache (and its
-    snapshot warmth) across streams. *)
+    snapshot warmth) across streams. A [Sys_error] while writing a
+    response (the client hung up) ends the stream like EOF: the snapshot
+    is still flushed. *)
 
 val listen :
   ?config:config -> ?max_conns:int -> path:string -> unit -> unit
 (** Bind a Unix-domain stream socket at [path] (unlinking a stale one)
     and serve connections sequentially, sharing one cache across all of
-    them. Stops after [max_conns] connections (default: forever). *)
+    them. Stops after [max_conns] connections (default: forever).
+    Ignores [SIGPIPE] process-wide, so a client that disconnects
+    mid-batch ends only its own connection. *)
 
 val in_process :
   ?config:config ->

@@ -38,3 +38,22 @@ test "$(wc -l < hist.jsonl)" -eq 2
 # The JSON record carries the per-stage GC-pressure fields.
 grep -q '"minor_words":' fresh.json
 grep -q '"major_words":' fresh.json
+
+# History rows carry the machine stamp.
+grep -q '"cores":' hist.jsonl
+
+# A baseline from another machine shape is labelled before the gate
+# table; records without the stamp still load.
+sed 's/"cores": [0-9]*/"cores": 999/' fresh.json > othercores.json
+run_bench --no-history --baseline othercores.json --check --check-threshold 50 \
+  > othercores.out
+grep -q 'CORES/DOMAINS DIFFER' othercores.out
+grep -q 'perf gate: PASS' othercores.out
+grep -v '"cores":\|"domains":' fresh.json > unstamped.json
+run_bench --no-history --baseline unstamped.json --check --check-threshold 50 \
+  > unstamped.out
+grep -q 'perf gate: PASS' unstamped.out
+if grep -q 'CORES/DOMAINS DIFFER' clean.out unstamped.out; then
+  echo "like-with-like baseline labelled as differing" >&2
+  exit 1
+fi

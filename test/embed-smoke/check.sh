@@ -2,7 +2,7 @@
 # Embedding smoke assertions for the @embed-smoke alias.
 set -eu
 
-# parallel-vs-sequential equivalence: the whole embed report (dilation,
+# domain-budget invariance: the whole embed report (dilation,
 # load, congestion, fallbacks, condition counts) must be byte-identical
 diff -u embed-jobs1.out embed-jobs4.out
 

@@ -188,11 +188,11 @@ let cache_props =
       ~print:print_case case_gen (fun c ->
         let tree = tree_of_case c in
         Parallel.set_domain_budget 1;
-        let un = place (Theorem1.embed ~capacity:c.capacity ~par:false tree) in
+        let un = place (Theorem1.embed ~capacity:c.capacity tree) in
         Parallel.set_domain_budget 3;
         let cache = Theorem1.make_cache () in
-        let miss = place (Theorem1.embed ~capacity:c.capacity ~cache ~par:true tree) in
-        let hit = place (Theorem1.embed ~capacity:c.capacity ~cache ~par:true tree) in
+        let miss = place (Theorem1.embed ~capacity:c.capacity ~cache tree) in
+        let hit = place (Theorem1.embed ~capacity:c.capacity ~cache tree) in
         Parallel.set_domain_budget 1;
         un = miss && un = hit);
     QCheck2.Test.make ~count:30 ~name:"theorem1: cached = uncached after evictions"

@@ -180,22 +180,25 @@ let test_make_piece_boundaries () =
   check "r1" 1 sp.Separator.r1;
   Alcotest.(check (option int)) "no r2" None sp.Separator.r2
 
-(* ---------------- parallel sweeps are bit-identical ---------------- *)
+(* ---------------- the domain budget does not matter ---------------- *)
 
-(* Same tree, sequential vs pool-parallel sweeps: the place array and the
+(* Same tree embedded at pool budgets 1 and 3: the place array and the
    derived dilation/load statistics must match exactly. Covers n = 1008
    (height 5) and n = 4080 (height 7), seeds 1-5. *)
-let test_t1_parallel_identical () =
-  Xt_prelude.Parallel.set_domain_budget 3;
+let test_t1_budget_invariant () =
+  let embed_at jobs tree =
+    let saved = Xt_prelude.Parallel.domain_budget () in
+    Xt_prelude.Parallel.set_domain_budget jobs;
+    Fun.protect
+      ~finally:(fun () -> Xt_prelude.Parallel.set_domain_budget saved)
+      (fun () -> Theorem1.embed tree)
+  in
   List.iter
     (fun n ->
       for seed = 1 to 5 do
-        let tree seed =
-          let rng = Xt_prelude.Rng.make ~seed in
-          Gen.uniform rng n
-        in
-        let seq = Theorem1.embed ~par:false (tree seed) in
-        let par = Theorem1.embed ~par:true (tree seed) in
+        let tree = Gen.uniform (Xt_prelude.Rng.make ~seed) n in
+        let seq = embed_at 1 tree in
+        let par = embed_at 3 tree in
         let label what = Printf.sprintf "n=%d seed=%d %s" n seed what in
         Alcotest.(check (array int))
           (label "place") seq.Theorem1.embedding.Embedding.place
@@ -213,7 +216,7 @@ let test_t1_parallel_identical () =
 let suite =
   [
     ("height arithmetic", `Quick, test_height_for);
-    ("T1: parallel sweeps identical", `Slow, test_t1_parallel_identical);
+    ("T1: domain budget invariant", `Slow, test_t1_budget_invariant);
     ("T1: every node placed", `Slow, test_t1_every_node_placed);
     ("T1: load exactly 16 at optimal sizes", `Slow, test_t1_load_exact_16);
     ("T1: constant dilation", `Slow, test_t1_dilation_constant);

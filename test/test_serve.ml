@@ -214,6 +214,56 @@ let test_serve_snapshot_warm_restart () =
     (replies1 = replies2);
   Sys.remove file
 
+(* A socket client that sends a batch and closes without reading must
+   cost only its own connection: the server survives the broken pipe,
+   serves the next client bit-identically, and writes its snapshot. *)
+let test_serve_client_hangup () =
+  let path = Filename.temp_file "xtree_serve" ".sock" in
+  let snap = tmp_snapshot () in
+  Sys.remove snap;
+  let config = { Serve.default with snapshot = Some snap } in
+  let server = Domain.spawn (fun () -> Serve.listen ~config ~max_conns:2 ~path ()) in
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.01;
+        connect (tries - 1)
+  in
+  let shapes = Loadgen.make_shapes ~seed:31 ~count:8 ~size:1008 in
+  (* Client 1: 256 requests whose responses overrun the socket buffer. *)
+  let oc1 = Unix.out_channel_of_descr (connect 500) in
+  Loadgen.write_requests oc1 (List.init 256 (fun i -> shapes.(i mod Array.length shapes)));
+  Wire.write_flush oc1;
+  close_out oc1;
+  (* Client 2 must be served as if nothing happened. *)
+  let fd2 = connect 500 in
+  let ic2 = Unix.in_channel_of_descr fd2 and oc2 = Unix.out_channel_of_descr fd2 in
+  let requests = Array.to_list (Array.sub shapes 0 4) in
+  let on_reply, replies = collect_replies () in
+  ignore (Loadgen.replay ~window:4 ~on_reply ~requests (ic2, oc2));
+  close_out oc2;
+  Domain.join server;
+  List.iter
+    (fun (r : Loadgen.reply) ->
+      let tree = Result.get_ok (Codec.of_string r.Loadgen.request) in
+      let d = Theorem1.embed tree in
+      let want =
+        Wire.encode_ok
+          { Wire.height = d.Theorem1.height; fallbacks = d.Theorem1.fallbacks; place = place d }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d byte-equal to a direct embed" r.Loadgen.index)
+        true (r.Loadgen.payload = want))
+    (replies ());
+  Alcotest.(check int) "client 2 answered" 4 (List.length (replies ()));
+  (match Theorem1.cache_load (Theorem1.make_cache ()) ~file:snap with
+  | Ok n -> Alcotest.(check int) "snapshot holds every shape" (Array.length shapes) n
+  | Error msg -> Alcotest.failf "snapshot does not load: %s" msg);
+  Sys.remove snap
+
 let suite =
   [
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_frames;
@@ -222,6 +272,7 @@ let suite =
     Alcotest.test_case "serve responses = direct embeds" `Quick test_serve_equivalence;
     Alcotest.test_case "serve reports request errors" `Quick test_serve_error_reply;
     Alcotest.test_case "snapshot-warm restart" `Quick test_serve_snapshot_warm_restart;
+    Alcotest.test_case "socket client hang-up mid-batch" `Quick test_serve_client_hangup;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)

@@ -1,11 +1,12 @@
-(* Equivalence of the parallel, flat-workspace Theorem 1 core against the
-   frozen sequential reference (ISSUE 6): the production pipeline — flat
-   generation-stamped separator workspaces, domain-parallel ADJUST/SPLIT
-   sweeps, per-domain scratch slots — must produce bit-identical
-   placements. Checked exhaustively over every binary-tree shape up to 14
-   nodes, by qcheck over random family x size x capacity cases swept
-   across domain budgets {1,2,4}, and on deterministic large trees where
-   the parallel sweeps actually engage. Plus the [Gc.minor_words] guard
+(* Equivalence of the flat-workspace Theorem 1 core against the
+   sequential reference implementation: the production pipeline — flat
+   generation-stamped separator workspaces, one sequential ADJUST/SPLIT
+   sweep per level — must produce bit-identical placements. Checked
+   exhaustively over every binary-tree shape up to 14 nodes, by qcheck
+   over random family x size x capacity cases swept across domain budgets
+   {1,2,4} (the budget must not leak into the result), and on
+   deterministic large trees. Golden digests pin the placements
+   independently of the reference. Plus the [Gc.minor_words] guard
    pinning [Separator.prepare] as allocation-free. *)
 
 open Xt_prelude
@@ -121,7 +122,7 @@ let run_eq_case c =
   List.iter
     (fun jobs ->
       with_budget jobs @@ fun () ->
-      let r = outcome (fun () -> Theorem1.embed ~capacity:c.cap ~par:true tree) in
+      let r = outcome (fun () -> Theorem1.embed ~capacity:c.cap tree) in
       match (rf, r) with
       | Ok rf, Ok r ->
           if rf.Theorem1_ref.place <> r.Theorem1.embedding.Embedding.place then
@@ -142,8 +143,8 @@ let qcheck_equivalence =
 
 (* ---------------- deterministic large trees -------------------------- *)
 
-(* Sizes where the parallel sweeps genuinely engage (levels of >= 8
-   X-tree vertices at the paper's capacity 16). Beyond placements, the
+(* Sizes with wide X-tree levels (>= 8 vertices at the paper's
+   capacity 16) under every budget. Beyond placements, the
    derived metrics the paper cares about — dilation and load — are
    compared through [Embedding] with the memoised distance oracle. *)
 let test_large_budget_sweep () =
@@ -155,7 +156,7 @@ let test_large_budget_sweep () =
         (fun jobs ->
           with_budget jobs @@ fun () ->
           let what = Printf.sprintf "%s(%d) at %d jobs" fname n jobs in
-          let r = Theorem1.embed ~par:true tree in
+          let r = Theorem1.embed tree in
           let e = r.Theorem1.embedding in
           if rf.Theorem1_ref.place <> e.Embedding.place then
             Alcotest.failf "%s: placements diverge" what;
@@ -168,6 +169,54 @@ let test_large_budget_sweep () =
           check (what ^ ": load") (Embedding.load ef) (Embedding.load e))
         [ 1; 2; 4 ])
     [ ("uniform", 30_000); ("caterpillar", 60_000); ("random-split", 100_000) ]
+
+(* ---------------- golden placement digests --------------------------- *)
+
+(* MD5 over the placements, fallbacks and wide-piece counts of
+   [Theorem1.embed], pinned as constants. Unlike the reference
+   comparisons above, this oracle still fails when [Theorem1] and
+   [Theorem1_ref] are edited together. *)
+let add_result buf (r : Theorem1.result) =
+  Array.iter
+    (fun v -> Buffer.add_string buf (string_of_int v); Buffer.add_char buf ',')
+    r.Theorem1.embedding.Embedding.place;
+  Buffer.add_string buf (Printf.sprintf "|f=%d|w=%d;" r.Theorem1.fallbacks r.Theorem1.wide_pieces)
+
+let digest_of f =
+  let buf = Buffer.create 4096 in
+  f (add_result buf);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_shapes = "74bb6c3cff9b3c4285e1145953343016"
+
+let golden_guests =
+  [
+    ("random-split", 8176, "d6632f37aec5c8c717c6f131a37f1b37");
+    ("uniform", 8176, "58b1980cd30083e155b3963df7577d31");
+    ("path", 8176, "20f9bdd7b29116d62c6b24d2abb3a294");
+    ("caterpillar", 8176, "fc5db3dda2237131e3ae0a720d191694");
+    ("random-split", 32752, "b612658286417d46d36c3678f5effb92");
+    ("uniform", 32752, "52f298727b82ec841b4c4518eeb4eb8f");
+    ("path", 32752, "bb424e4a49183f93c50ceeee51d0adba");
+    ("caterpillar", 32752, "f8f73525412773d2b2eca1b1b5b280d6");
+  ]
+
+let test_golden_digests () =
+  let shapes =
+    digest_of (fun add ->
+        for n = 1 to 10 do
+          iter_shapes n (fun t -> add (Theorem1.embed ~capacity:exhaustive_capacity t))
+        done)
+  in
+  Alcotest.(check string) "every shape <= 10 nodes" golden_shapes shapes;
+  List.iter
+    (fun (fname, n, expected) ->
+      let tree = (Gen.family fname).generate (Rng.make ~seed:1) n in
+      Alcotest.(check string)
+        (Printf.sprintf "%s(%d) seed 1" fname n)
+        expected
+        (digest_of (fun add -> add (Theorem1.embed tree))))
+    golden_guests
 
 (* ---------------- separator hot path allocates nothing --------------- *)
 
@@ -213,6 +262,7 @@ let suite =
     ("exhaustive shapes 12-14", `Slow, exhaustive 12 14);
     QCheck_alcotest.to_alcotest ~long:false qcheck_equivalence;
     ("large trees, budget sweep", `Slow, test_large_budget_sweep);
+    ("golden placement digests", `Slow, test_golden_digests);
     ("separator prepare allocation free", `Quick, test_prepare_allocation_free);
     ("workspace rebind", `Quick, test_rebind_grows);
   ]
