@@ -100,8 +100,8 @@ let tests =
         (Staged.stage (fun () ->
              let g, pairs = Lazy.force congestion_workload in
              ignore (Xt_embedding.Congestion.analyse g pairs)));
-      (* Same-level pairs stay on the closed form: no BFS rows, and (as
-         asserted by the Gc test in test_topology.ml) no allocation —
+      (* [Xtree.distance] is closed form on every pair: no BFS rows, and
+         (as asserted by the Gc test in test_topology.ml) no allocation —
          bechamel's minor-words column should read 0 per query. *)
       Test.make ~name:"B9 closed-form distance leaf sweep X(10)"
         (Staged.stage (fun () ->

@@ -847,7 +847,7 @@ let e17_analytic_routing () =
   let t =
     Tab.create
       ~title:
-        "E17 Table-free analytic routing on X(r): exactness vs BFS and route quality (exhaustive per height)"
+        "E17 Table-free analytic routing on X(r): the proven-exact distance re-checked against BFS, and route quality (exhaustive per height)"
       [ "r"; "pairs"; "analytic = BFS"; "max ratio"; "routes shortest"; "max route excess" ]
   in
   List.iter

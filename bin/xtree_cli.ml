@@ -624,7 +624,8 @@ let route_run height src dst tm =
     Printf.eprintf "vertices not in X(%d)\n" height;
     exit 2
   end;
-  Printf.printf "analytic distance: %d (BFS: %d)\n" (Xtree.analytic_distance a b) (Xtree.distance xt a b);
+  Printf.printf "analytic distance: %d (BFS: %d)\n" (Xtree.analytic_distance a b)
+    (Graph.distance (Xtree.graph xt) a b);
   if a <> b then begin
     let path = Xtree.route xt ~src:a ~dst:b in
     Printf.printf "route: %s\n" (String.concat " -> " (List.map Xtree.to_string path))

@@ -19,7 +19,7 @@ let check xt (e : Embedding.t) =
       let g = Xtree.level lower - Xtree.level upper in
       if g > !gap then gap := g;
       if g > 2 then incr cond4;
-      if not (List.mem lower (Xtree.neighbourhood xt upper)) then incr cond3)
+      if not (Xtree.in_neighbourhood xt upper lower) then incr cond3)
     edges;
   { edges = List.length edges; cond3_violations = !cond3; cond4_violations = !cond4; max_level_gap = !gap }
 

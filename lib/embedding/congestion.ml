@@ -113,10 +113,10 @@ let row_table host =
         Hashtbl.replace rows s r;
         r
 
-let summarise load routes =
+let summarise load lengths =
   let congestion = Array.fold_left max 0 load in
-  let max_route_length = List.fold_left (fun acc r -> max acc r) 0 routes in
-  let total_route_length = List.fold_left ( + ) 0 routes in
+  let max_route_length = Array.fold_left max 0 lengths in
+  let total_route_length = Array.fold_left ( + ) 0 lengths in
   { congestion; max_route_length; total_route_length }
 
 (* Route an explicit demand list over a bare host graph: longest demands
@@ -150,7 +150,7 @@ let route_demands host pairs =
       demands
   in
   if Obs.metrics_enabled () then Array.iter (Obs.observe h_edge_load) load;
-  summarise load lengths
+  summarise load (Array.of_list lengths)
 
 let analyse host pairs = route_demands host pairs
 
@@ -158,40 +158,6 @@ let route (e : Embedding.t) =
   route_demands e.host
     (Bintree.edges e.tree |> List.map (fun (u, v) -> (e.place.(u), e.place.(v))))
 
-let baseline (e : Embedding.t) =
-  let host = e.host in
-  (* one bfs_parents call per source supplies both the distance row used
-     for sorting and the parent row walked when charging *)
-  let tbl = Hashtbl.create 64 in
-  let info s =
-    match Hashtbl.find_opt tbl s with
-    | Some p -> p
-    | None ->
-        let p = Graph.bfs_parents host s in
-        Hashtbl.replace tbl s p;
-        p
-  in
-  let load = Array.make (Graph.m host) 0 in
-  let demands =
-    Bintree.edges e.tree
-    |> List.filter_map (fun (u, v) ->
-           let a = e.place.(u) and b = e.place.(v) in
-           if a = b then None else Some ((fst (info a)).(b), a, b))
-    |> List.sort (fun (d1, _, _) (d2, _, _) -> compare d2 d1)
-  in
-  let lengths =
-    List.map
-      (fun (_, a, b) ->
-        let p = snd (info a) in
-        let rec walk len v =
-          if v = a then len
-          else begin
-            let eidx = Graph.edge_index host v p.(v) in
-            load.(eidx) <- load.(eidx) + 1;
-            walk (len + 1) p.(v)
-          end
-        in
-        walk 0 b)
-      demands
-  in
+let baseline e =
+  let load, lengths = Embedding.shortest_path_loads e in
   summarise load lengths

@@ -32,4 +32,5 @@ val analyse : Xt_topology.Graph.t -> (int * int) list -> result
 
 val baseline : Embedding.t -> result
 (** The same accounting for plain BFS-tree shortest-path routing, for
-    comparison (its [congestion] equals {!Embedding.congestion}). *)
+    comparison: a summary of {!Embedding.shortest_path_loads} (so its
+    [congestion] equals {!Embedding.congestion}). *)

@@ -26,9 +26,9 @@ val host_size : t -> int
 
 (** {1 Metrics}
 
-    The optional [dist] argument supplies an O(1) host metric (for
-    hypercubes, X-trees with memoised rows, …); by default distances come
-    from per-source BFS, memoised across the call. *)
+    The optional [dist] argument supplies a host metric (for hypercubes,
+    X-trees, …); by default distances are the lengths of the BFS-tree
+    routes of {!shortest_path_loads}. *)
 
 val edge_dilations : ?dist:(int -> int -> int) -> t -> int array
 (** Host distance of every guest edge, in [Bintree.edges] order. *)
@@ -47,8 +47,20 @@ val expansion : t -> float
 
 val is_injective : t -> bool
 
+val shortest_path_loads : t -> int array * int array
+(** [(load, length)] when every guest edge [(u, v)] is routed along the
+    BFS tree of [u]'s image ({!Xt_topology.Graph.bfs_parents}' shortest
+    path from [place.(u)] to [place.(v)]): [load.(eid)] counts the routes
+    crossing host edge [eid] (the ids of
+    {!Xt_topology.Graph.iter_neighbours_e}), and [length.(i)] is the hop
+    length of guest edge [i]'s route, in [Bintree.edges] order. One BFS
+    per distinct source image, cut off once all its targets are found:
+    O(host + guest) memory. Raises [Invalid_argument] if a route has no
+    host path. *)
+
 val congestion : t -> int
-(** Shortest-path routing congestion (BFS-tree routes, deterministic). *)
+(** Shortest-path routing congestion: the maximum of
+    {!shortest_path_loads}' loads (deterministic). *)
 
 type report = {
   dilation : int;

@@ -2,12 +2,7 @@ open Xt_prelude
 
 type vertex = int
 
-type t = {
-  height : int;
-  graph : Graph.t;
-  (* Memoised BFS distance rows, filled on demand. *)
-  dist_rows : int array option array;
-}
+type t = { height : int; graph : Graph.t }
 
 let id ~level ~index =
   if level < 0 || level > 24 then invalid_arg "Xtree.id: bad level";
@@ -76,8 +71,7 @@ let build_graph r =
 
 let create ~height =
   if height < 0 || height > 24 then invalid_arg "Xtree.create";
-  let graph = build_graph height in
-  { height; graph; dist_rows = Array.make (Graph.n graph) None }
+  { height; graph = build_graph height }
 
 let height t = t.height
 let order t = Graph.n t.graph
@@ -91,49 +85,28 @@ let leaves t = vertices_at_level t t.height
 
 let mem t v = v >= 0 && v < order t
 
-(* Exact closed forms that need no BFS. Ancestor pairs: every edge
-   changes the level by at most one, so the tree path of [level
-   difference] edges is optimal. Same-level pairs: the climb-run-descend
-   minimum over meeting levels is optimal (paths that dip below the
-   common level only double the horizontal gap; see E17, which checks
-   the analytic form against BFS on every pair up to height 8).
+(* The X-tree metric by address arithmetic; [xtree.mli] proves it exact.
+   Meeting levels are scanned upward from [min la lb], stopping after the
+   first level whose gap is at most 2: halving such a gap leaves at most
+   1, so every higher level costs two more vertical edges and saves at
+   most two horizontal ones. Endpoints of a short edge stop at once.
+   Top-level and tail-recursive so a query allocates nothing: the metric
+   loops of [Repair] and [Embedding.report] and the greedy router issue
+   millions of them (a [Gc.minor_words] test pins this). *)
+let rec analytic_scan la ka lb kb l best =
+  let gap = abs ((ka lsr (la - l)) - (kb lsr (lb - l))) in
+  let cost = la - l + (lb - l) + gap in
+  let best = if cost < best then cost else best in
+  if gap <= 2 then best else analytic_scan la ka lb kb (l - 1) best
 
-   Returns [-1] when neither form applies. Written with tail-recursive
-   accumulators instead of refs/options: the embedding metric loops issue
-   millions of these queries, and this shape keeps them allocation-free
-   (asserted by a [Gc.minor_words] test). *)
-(* Top-level so no closure is allocated per query (a local [let rec]
-   capturing the indices would cost ~7 minor words per call). *)
-let rec same_level_scan lu ku kv l best =
-  if l > lu then best
-  else begin
-    let gap = abs ((ku lsr (lu - l)) - (kv lsr (lu - l))) in
-    let cost = (2 * (lu - l)) + gap in
-    same_level_scan lu ku kv (l + 1) (if cost < best then cost else best)
-  end
-
-let closed_form_distance u v =
-  let lu = level u and lv = level v in
-  if lu = lv then same_level_scan lu (index u) (index v) 0 max_int
-  else if is_ancestor u v then lv - lu
-  else if is_ancestor v u then lu - lv
-  else -1
+let analytic_distance a b =
+  let la = level a and ka = index a in
+  let lb = level b and kb = index b in
+  analytic_scan la ka lb kb (min la lb) max_int
 
 let distance t u v =
   if not (mem t u && mem t v) then invalid_arg "Xtree.distance";
-  let d = closed_form_distance u v in
-  if d >= 0 then d
-  else begin
-    let row =
-      match t.dist_rows.(u) with
-      | Some row -> row
-      | None ->
-          let row = Graph.bfs t.graph u in
-          t.dist_rows.(u) <- Some row;
-          row
-    in
-    row.(v)
-  end
+  analytic_distance u v
 
 (* N(a), Figure 2: horizontal displacement by at most 3 on a's own level,
    or one/two downward steps followed by horizontal displacement by at most
@@ -157,26 +130,24 @@ let neighbourhood t a =
   add_range (l + 2) ((4 * k) - 2) ((4 * k) + 3 + 2);
   List.sort_uniq compare !acc
 
+(* The index ranges of [neighbourhood], tested without building it; a
+   vertex [b] of the tree already lies inside its level's width. *)
+let in_neighbourhood t a b =
+  if not (mem t a) then invalid_arg "Xtree.in_neighbourhood";
+  mem t b
+  &&
+  let ka = index a and kb = index b in
+  match level b - level a with
+  | 0 -> abs (kb - ka) <= 3
+  | 1 -> kb >= (2 * ka) - 2 && kb <= (2 * ka) + 3
+  | 2 -> kb >= (4 * ka) - 2 && kb <= (4 * ka) + 5
+  | _ -> false
+
 let neighbourhood_closure_bound = 20
 
 (* ------------------------------------------------------------------ *)
 (* Table-free routing                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Same allocation-free shape as [closed_form_distance]: the greedy
-   router evaluates this for every neighbour at every hop. *)
-let rec analytic_scan top la ka lb kb l best =
-  if l > top then best
-  else begin
-    let gap = abs ((ka lsr (la - l)) - (kb lsr (lb - l))) in
-    let cost = la - l + (lb - l) + gap in
-    analytic_scan top la ka lb kb (l + 1) (if cost < best then cost else best)
-  end
-
-let analytic_distance a b =
-  let la = level a and ka = index a in
-  let lb = level b and kb = index b in
-  analytic_scan (min la lb) la ka lb kb 0 max_int
 
 let neighbours_of t v =
   let acc = ref [] in

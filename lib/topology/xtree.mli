@@ -73,10 +73,9 @@ val mem : t -> vertex -> bool
 (** Does this vertex id exist in [X(r)]? *)
 
 val distance : t -> vertex -> vertex -> int
-(** Exact hop distance in [X(r)]. Ancestor pairs (level difference) and
-    same-level pairs (climb–run–descend minimum) are answered in closed
-    form without touching the graph; other pairs fall back to BFS rows
-    memoised per source. *)
+(** Exact hop distance in [X(r)]: {!analytic_distance} after checking that
+    both vertices belong to the tree. O(levels), allocation-free, and no
+    table is kept. Raises [Invalid_argument] on a vertex outside [X(r)]. *)
 
 val neighbourhood : t -> vertex -> vertex list
 (** The set [N(a)] of the paper's Figure 2: vertices of [X(r)] reachable
@@ -84,33 +83,55 @@ val neighbourhood : t -> vertex -> vertex list
     downward edges followed by at most two horizontal edges. Contains [a]
     itself. Sorted, duplicate-free. *)
 
+val in_neighbourhood : t -> vertex -> vertex -> bool
+(** [in_neighbourhood t a b] is [List.mem b (neighbourhood t a)] in O(1),
+    without building the list: [b] lies on [a]'s level with
+    [|index b - index a| <= 3], one level down with index in
+    [[2k-2, 2k+3]], or two levels down with index in [[4k-2, 4k+5]], where
+    [k = index a]. Raises [Invalid_argument] if [a] is not in [X(r)];
+    [false] if [b] is not. *)
+
 val neighbourhood_closure_bound : int
 (** 20 — the paper's bound on [|N(a) - {a}|]. *)
 
-(** {1 Table-free routing}
+(** {1 Table-free metric and routing}
 
-    Large X-trees make per-destination BFS tables expensive; the address
-    structure supports an O(levels) alternative. The {e analytic distance}
+    The address structure gives the X-tree metric in O(levels), with no
+    per-destination table. The {e analytic distance} is
 
-    [D(a,b) = min over meeting levels l of
+    [D(a,b) = min over meeting levels l <= min(level a, level b) of
        (level a - l) + (level b - l) + gap_l(a,b)]
 
-    (where [gap_l] is the index difference of the two level-[l] ancestors)
-    is an upper bound on the true distance: climb, run horizontally, and
-    descend. Greedily stepping to any neighbour that reduces [D] strictly
-    decreases it, so routes have length at most [D(a,b)]. *)
+    where [gap_l] is the index difference of the two level-[l] ancestors.
+
+    {b [D] is exact.} The climb–run–descend route (up to level [l], along
+    the level, down again) has exactly that many edges, so [D] is at least
+    the distance. Conversely, take a shortest path from [a] to [b] and let
+    [m] be the smallest level it visits. Map each vertex of the path to
+    its level-[m] ancestor. A vertical edge between levels [>= m] leaves
+    that ancestor unchanged, and a horizontal edge on a level [>= m] moves
+    it by at most one index. The path must climb from [a] to level [m]
+    and come back down to [b], which takes at least
+    [(level a - m) + (level b - m)] vertical edges, and its horizontal
+    edges carry the ancestor from [a]'s to [b]'s, which takes at least
+    [gap_m(a,b)] of them. So the path has at least the [m] term of [D]
+    edges, and the distance is at least [D]. Optimal X-tree paths
+    therefore have the climb–run–descend shape; the test suite re-checks
+    [D] against BFS on every pair up to height 11.
+
+    Since [D] is the distance, every vertex but the destination has a
+    neighbour with [D] one smaller, so the greedy descent on [D] walks a
+    shortest path. *)
 
 val analytic_distance : vertex -> vertex -> int
-(** The upper bound [D(a,b)], by pure address arithmetic in O(levels).
-    Never less than the true distance; the test suite and bench E17 check
-    it is in fact {e equal} to the BFS distance on every vertex pair up to
-    height 8 (~261 000 pairs), so optimal X-tree paths have the
-    climb–run–descend shape. *)
+(** [D(a,b)], the exact distance, by pure address arithmetic in O(levels)
+    and without allocating. It needs no [t]: the distance between two
+    vertices is the same in every X-tree that contains both. *)
 
 val route_next_hop : t -> src:vertex -> dst:vertex -> vertex
 (** The neighbour of [src] chosen by the greedy [D]-descent. Raises
     [Invalid_argument] if [src = dst]. *)
 
 val route : t -> src:vertex -> dst:vertex -> vertex list
-(** The full greedy route, [src] inclusive to [dst] inclusive. Length is
-    at most [analytic_distance src dst] edges. *)
+(** The full greedy route, [src] inclusive to [dst] inclusive: a shortest
+    path of [analytic_distance src dst] edges. *)

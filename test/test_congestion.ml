@@ -84,6 +84,109 @@ let test_collapsed_embedding_routes () =
   check "no congestion" 0 r.Congestion.congestion;
   check "no routes" 0 r.Congestion.total_route_length
 
+(* Full-BFS reference for the BFS-tree route accounting: every guest edge
+   walks the complete [Graph.bfs_parents] tree of its source's image,
+   rows memoised per source. *)
+let reference_routes (e : Embedding.t) =
+  let host = e.Embedding.host in
+  let rows = Hashtbl.create 64 in
+  let load = Array.make (Graph.m host) 0 in
+  let length (u, v) =
+    let s = e.Embedding.place.(u) in
+    let p =
+      match Hashtbl.find_opt rows s with
+      | Some p -> p
+      | None ->
+          let _, p = Graph.bfs_parents host s in
+          Hashtbl.replace rows s p;
+          p
+    in
+    let rec walk w len =
+      if w = s then len
+      else begin
+        let i = Graph.edge_index host w p.(w) in
+        load.(i) <- load.(i) + 1;
+        walk p.(w) (len + 1)
+      end
+    in
+    walk e.Embedding.place.(v) 0
+  in
+  let lengths = Array.of_list (List.map length (Bintree.edges e.Embedding.tree)) in
+  (load, lengths)
+
+(* The truncated, source-grouped BFS of [Embedding.shortest_path_loads]
+   charges exactly the full-BFS routes, and [Embedding.congestion] and
+   [Congestion.baseline] both report them: every family, r = 3..8, three
+   seeds, on repaired Theorem 1 embeddings. *)
+let test_truncated_bfs_matches_reference () =
+  List.iter
+    (fun (f : Gen.family) ->
+      for r = 3 to 8 do
+        for seed = 1 to 3 do
+          let tree = f.Gen.generate (Rng.make ~seed) (Theorem1.optimal_size r) in
+          let res, _ = Repair.improve_theorem1 (Theorem1.embed tree) in
+          let e = res.Theorem1.embedding in
+          let load, lengths = reference_routes e in
+          let label = Printf.sprintf "%s r=%d seed=%d" f.Gen.name r seed in
+          let got_load, got_lengths = Embedding.shortest_path_loads e in
+          checkb (label ^ " loads") true (got_load = load);
+          checkb (label ^ " lengths") true (got_lengths = lengths);
+          let congestion = Array.fold_left max 0 load in
+          check (label ^ " congestion") congestion (Embedding.congestion e);
+          let base = Congestion.baseline e in
+          check (label ^ " baseline congestion") congestion base.Congestion.congestion;
+          check (label ^ " baseline max length") (Array.fold_left max 0 lengths)
+            base.Congestion.max_route_length;
+          check (label ^ " baseline total length") (Array.fold_left ( + ) 0 lengths)
+            base.Congestion.total_route_length
+        done
+      done)
+    Gen.families
+
+(* MD5 over the repaired placements and the report fields of fixed-seed
+   r = 8 guests, with the X-tree metric and with the default BFS-route
+   metric. The constants were computed with the BFS-row distance oracle
+   and full-BFS congestion that the table-free metrics replaced. *)
+let golden_repaired =
+  [
+    ("complete", "897a43947b3cd6c1b5202943f493f4f7");
+    ("path", "e57ecbb247854a4b6a933cc54960e9aa");
+    ("zigzag", "e57ecbb247854a4b6a933cc54960e9aa");
+    ("caterpillar", "7ddc20c94c65b96c5796654bf7606160");
+    ("broom", "2c0d0264787e2ea0483514205e3b6b86");
+    ("fibonacci", "1c648ba742059dd34a7bee5c8771ca7e");
+    ("random-bst", "6dee1cfcd677f87f685d157d91cf5ca4");
+    ("uniform", "4d4f5a6652a91d97a7e1698ab82ec969");
+    ("random-grow", "cad4e40269402e45088d83b5317393ba");
+    ("skewed", "3f9f5f887a10ac600e82631cb8d793ad");
+    ("random-split", "f8c393e66eef4b0033e8485ad1d44e7b");
+  ]
+
+let repaired_digest fname =
+  let tree = (Gen.family fname).generate (Rng.make ~seed:1) (Theorem1.optimal_size 8) in
+  let res, _ = Repair.improve_theorem1 (Theorem1.embed tree) in
+  let e = res.Theorem1.embedding in
+  let buf = Buffer.create 65536 in
+  let add_report (r : Embedding.report) =
+    Buffer.add_string buf
+      (Printf.sprintf "|d=%d|avg=%h|l=%d|c=%d" r.Embedding.dilation r.Embedding.average_dilation
+         r.Embedding.load r.Embedding.congestion)
+  in
+  Array.iter
+    (fun v ->
+      Buffer.add_string buf (string_of_int v);
+      Buffer.add_char buf ',')
+    e.Embedding.place;
+  add_report (Embedding.report ~dist:(Theorem1.distance_oracle res) e);
+  add_report (Embedding.report e);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_repaired () =
+  check "every family pinned" (List.length Gen.families) (List.length golden_repaired);
+  List.iter
+    (fun (fname, expected) -> Alcotest.(check string) (fname ^ " r=8 seed 1") expected (repaired_digest fname))
+    golden_repaired
+
 (* ---------------- Enum ---------------- *)
 
 let test_catalan_values () =
@@ -134,6 +237,8 @@ let suite =
     ("route detour bounded", `Quick, test_route_detour_bounded);
     ("route total length sane", `Quick, test_route_total_length_sane);
     ("collapsed embedding routes", `Quick, test_collapsed_embedding_routes);
+    ("truncated BFS routes = full BFS", `Slow, test_truncated_bfs_matches_reference);
+    ("golden repaired placements and reports", `Slow, test_golden_repaired);
     ("catalan values", `Quick, test_catalan_values);
     ("enumeration counts", `Quick, test_enumeration_counts);
     ("enumeration distinct/valid", `Quick, test_enumeration_distinct_and_valid);

@@ -267,21 +267,49 @@ let suite =
 
 (* ---------------- analytic routing ---------------- *)
 
+(* [analytic_distance] against BFS on every pair of every X(h) up to
+   height 11, the largest host the repo benchmark embeds into. Rows are
+   compared whole; only the first mismatch is rendered. *)
 let test_analytic_distance_exact () =
-  (* matches BFS on every pair for heights up to 5 (larger in bench E17) *)
-  List.iter
-    (fun h ->
-      let t = Xtree.create ~height:h in
-      let g = Xtree.graph t in
-      for a = 0 to Xtree.order t - 1 do
-        let row = Graph.bfs g a in
-        for b = 0 to Xtree.order t - 1 do
-          check
-            (Printf.sprintf "h=%d %s-%s" h (Xtree.to_string a) (Xtree.to_string b))
-            row.(b) (Xtree.analytic_distance a b)
-        done
-      done)
-    [ 1; 2; 3; 4; 5 ]
+  for h = 1 to 11 do
+    let t = Xtree.create ~height:h in
+    let g = Xtree.graph t and order = Xtree.order t in
+    let row = Array.make order 0 in
+    for a = 0 to order - 1 do
+      let bfs = Graph.bfs g a in
+      for b = 0 to order - 1 do
+        row.(b) <- Xtree.analytic_distance a b
+      done;
+      if row <> bfs then begin
+        let b = ref 0 in
+        while row.(!b) = bfs.(!b) do
+          incr b
+        done;
+        Alcotest.failf "h=%d %s-%s: analytic %d, BFS %d" h (Xtree.to_string a) (Xtree.to_string !b)
+          row.(!b) bfs.(!b)
+      end
+    done
+  done
+
+(* The O(1) index-range test agrees with membership in the built N(a) on
+   every ordered pair of every X(h) up to height 8. *)
+let test_in_neighbourhood_exhaustive () =
+  for h = 0 to 8 do
+    let t = Xtree.create ~height:h in
+    let order = Xtree.order t in
+    let member = Array.make order false in
+    for a = 0 to order - 1 do
+      let n = Xtree.neighbourhood t a in
+      List.iter (fun b -> member.(b) <- true) n;
+      for b = 0 to order - 1 do
+        if Xtree.in_neighbourhood t a b <> member.(b) then
+          Alcotest.failf "h=%d a=%s b=%s: in_neighbourhood %b, List.mem %b" h (Xtree.to_string a)
+            (Xtree.to_string b) (not member.(b)) member.(b)
+      done;
+      List.iter (fun b -> member.(b) <- false) n
+    done;
+    checkb "b outside the tree" false (Xtree.in_neighbourhood t 0 order)
+  done
 
 let test_route_is_shortest () =
   let t = Xtree.create ~height:5 in
@@ -304,9 +332,8 @@ let test_route_is_shortest () =
     end
   done
 
-(* The closed-form fast paths inside [Xtree.distance] (ancestor pairs,
-   same-level pairs) and the memoised BFS fallback must all agree with a
-   plain graph BFS — checked on every pair of X(6). *)
+(* [Xtree.distance] (the analytic form behind a membership check) agrees
+   with a plain graph BFS on every pair of X(6). *)
 let test_xtree_distance_matches_bfs () =
   let t = Xtree.create ~height:6 in
   let g = Xtree.graph t in
@@ -338,22 +365,29 @@ let test_route_next_hop_validation () =
   Alcotest.check_raises "same vertex" (Invalid_argument "Xtree.route_next_hop: already there")
     (fun () -> ignore (Xtree.route_next_hop t ~src:3 ~dst:3))
 
-(* The closed-form branches of [Xtree.distance] (same-level and ancestor
-   pairs) and [analytic_distance] are the hot path of every embedding
-   metric; assert they stay allocation-free (ISSUE 4 satellite). *)
+(* [Xtree.distance] is the hot path of every embedding metric; assert it
+   allocates nothing on same-level, ancestor and cross-level non-ancestor
+   pairs alike. *)
 let test_distance_allocation_free () =
   let t = Xtree.create ~height:10 in
   let leaf0 = 1023 and n = 2047 in
-  (* warm up: everything below must be in closed form, but be safe *)
   ignore (Xtree.distance t leaf0 2046);
   Gc.minor ();
   let before = Gc.minor_words () in
   let total = ref 0 in
   for v = leaf0 to n - 1 do
     for _rep = 1 to 32 do
-      total := !total + Xtree.distance t leaf0 v (* same level: closed form *)
+      total := !total + Xtree.distance t leaf0 v (* same level *)
     done;
-    total := !total + Xtree.distance t 0 v (* ancestor: closed form *)
+    total := !total + Xtree.distance t 0 v (* ancestor *)
+  done;
+  (* cross-level: level-3 vertex "111" against every deeper vertex (7/8
+     of them outside its subtree), then leaves against level 5 *)
+  for v = 15 to n - 1 do
+    total := !total + Xtree.distance t 14 v
+  done;
+  for u = leaf0 to n - 1 do
+    total := !total + Xtree.distance t u (31 + (u land 31))
   done;
   for v = 0 to n - 1 do
     total := !total + Xtree.analytic_distance 1000 v
@@ -361,13 +395,14 @@ let test_distance_allocation_free () =
   let allocated = Gc.minor_words () -. before in
   ignore !total;
   checkb
-    (Printf.sprintf "~35k closed-form queries allocated %.0f words" allocated)
+    (Printf.sprintf "~40k distance queries allocated %.0f words" allocated)
     true (allocated < 256.)
 
 let suite =
   suite
   @ [
       ("analytic distance exact", `Slow, test_analytic_distance_exact);
+      ("in_neighbourhood = List.mem neighbourhood", `Slow, test_in_neighbourhood_exhaustive);
       ("xtree distance = bfs on X(6)", `Slow, test_xtree_distance_matches_bfs);
       ("graph edge ids", `Quick, test_graph_edge_ids);
       ("greedy route is shortest", `Quick, test_route_is_shortest);
